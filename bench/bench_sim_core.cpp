@@ -9,7 +9,7 @@
 //
 // Usage: bench_sim_core [--preset smoke|full] [--out PATH] [--million]
 //   smoke     ~1 s, for CI artifact jobs
-//   full      ~20 s, the checked-in trajectory point (default)
+//   full      ~30 s, the checked-in trajectory point (default)
 //   --million additionally runs the N = 10^6 memory-diet scenario
 //             (examples/specs/million_node.spec in-process; minutes of
 //             wall time and ~3 GB of RSS) and appends its rows
@@ -25,21 +25,29 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <thread>
 
 #include <sys/resource.h>
 
+#include "avmon/config.hpp"
+#include "avmon/monitor_selector.hpp"
 #include "avmon/notify_dedup.hpp"
 #include "common.hpp"
 #include "common/rng.hpp"
 #include "experiments/metrics.hpp"
+#include "experiments/protocol.hpp"
+#include "experiments/protocol_registry.hpp"
 #include "experiments/scenario.hpp"
 #include "experiments/spec.hpp"
 #include "golden_hash.hpp"
+#include "hash/hash_function.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 
@@ -349,6 +357,156 @@ CollectionRun metricCollectionRun(bool streamed, std::size_t n,
   return result;
 }
 
+// ---------------------------------------------------------------------------
+// Workload 9: the consistency-check pair stream, direct vs memoized, per
+// hash function. The stream is recorded from a real run — SYNTH-BD churn at
+// N = 2000 with the paper's cvs = 4·⁴√N and K = log2 N, the scenario
+// behind perfbench's synth-bd-2k — so it is exactly the sequence of checks
+// AvmonNode::discoverPairs (CV(x) × CV(w), both directions, per fetch) and
+// the NOTIFY handlers ask, with the run's own pair repetition, which is
+// what a memo feeds on. The stream is then replayed against every
+// selector, so each configuration answers the same questions in order.
+// ---------------------------------------------------------------------------
+using PairLog = std::vector<std::pair<NodeId, NodeId>>;
+
+// Logs calls up to a cap (a whole run asks tens of millions), and forwards
+// every call.
+class PairRecorder final : public MonitorSelector {
+ public:
+  PairRecorder(const MonitorSelector& inner, PairLog& log, std::size_t cap)
+      : inner_(inner), log_(log), cap_(cap) {}
+  bool isMonitor(const NodeId& observer, const NodeId& target) const override {
+    if (log_.size() < cap_) log_.emplace_back(observer, target);
+    return inner_.isMonitor(observer, target);
+  }
+  std::string describe() const override { return inner_.describe(); }
+
+ private:
+  const MonitorSelector& inner_;
+  PairLog& log_;
+  std::size_t cap_;
+};
+
+// Where, and how much, the running PairLogProtocol records.
+constexpr const char* kPairLogProtocol = "avmon-pairlog";
+PairLog* gPairLog = nullptr;
+std::size_t gPairLogCap = 0;
+
+// The "avmon" protocol, built with memos in front of a PairRecorder. The
+// recorder is not worth memoizing, so the memos forward every check to it.
+class PairLogProtocol final : public experiments::Protocol {
+ public:
+  PairLogProtocol()
+      : inner_(experiments::ProtocolRegistry::instance().create("avmon")) {}
+
+  std::string name() const override { return kPairLogProtocol; }
+  void build(const experiments::ProtocolContext& ctx) override {
+    recorder_ = std::make_unique<PairRecorder>(ctx.selector, *gPairLog,
+                                               gPairLogCap);
+    for (std::size_t s = 0; s < ctx.world.shardCount(); ++s) {
+      memos_.push_back(std::make_unique<MemoizedMonitorSelector>(*recorder_));
+    }
+    inner_->build({ctx.scenario, ctx.effectiveN, ctx.config, ctx.world,
+                   ctx.trace, ctx.hashFn, ctx.selector, memos_, ctx.rootRng,
+                   ctx.adversary});
+  }
+  void onJoin(const NodeId& id, bool firstJoin) override {
+    inner_->onJoin(id, firstJoin);
+  }
+  void onLeave(const NodeId& id) override { inner_->onLeave(id); }
+  void onDeath(const NodeId& id) override { inner_->onDeath(id); }
+  void forEachNode(
+      const std::function<void(const NodeId&)>& fn) const override {
+    inner_->forEachNode(fn);
+  }
+  std::optional<SimDuration> discoveryDelay(const NodeId& id,
+                                            std::size_t k) const override {
+    return inner_->discoveryDelay(id, k);
+  }
+  std::size_t memoryEntries(const NodeId& id) const override {
+    return inner_->memoryEntries(id);
+  }
+  const AvmonNode* avmonNode(const NodeId& id) const override {
+    return inner_->avmonNode(id);
+  }
+  AvmonNode* mutableAvmonNode(const NodeId& id) override {
+    return inner_->mutableAvmonNode(id);
+  }
+
+ private:
+  std::unique_ptr<experiments::Protocol> inner_;
+  std::unique_ptr<PairRecorder> recorder_;
+  std::vector<std::unique_ptr<MemoizedMonitorSelector>> memos_;
+};
+
+// The first `cap` checks of a SYNTH-BD N = 2000 run (one shard, so the
+// recorder sees them in execution order).
+PairLog recordPairStream(std::size_t cap) {
+  auto& registry = experiments::ProtocolRegistry::instance();
+  if (registry.find(kPairLogProtocol) == nullptr) {
+    registry.add({kPairLogProtocol, "AVMON with its consistency checks logged",
+                  /*maxShards=*/1,
+                  [] { return std::make_unique<PairLogProtocol>(); }});
+  }
+  PairLog log;
+  log.reserve(cap);
+  gPairLog = &log;
+  gPairLogCap = cap;
+  experiments::Scenario s;
+  s.protocol = kPairLogProtocol;
+  s.model = churn::Model::kSynthBD;
+  s.stableSize = 2000;
+  s.horizon = 10 * kMinute;
+  s.warmup = 4 * kMinute;
+  s.seed = 13;
+  s.hashName = "splitmix64";
+  experiments::ScenarioRunner runner(s);
+  runner.run();
+  gPairLog = nullptr;
+  return log;
+}
+
+// Claims its inner selector is worth memoizing, so a memo caches in front
+// of any hash (a memo over plain splitmix64 would forward instead).
+class AlwaysMemoize final : public MonitorSelector {
+ public:
+  explicit AlwaysMemoize(const MonitorSelector& inner) : inner_(inner) {}
+  bool isMonitor(const NodeId& observer, const NodeId& target) const override {
+    return inner_.isMonitor(observer, target);
+  }
+  std::string describe() const override { return inner_.describe(); }
+  bool worthMemoizing() const override { return true; }
+
+ private:
+  const MonitorSelector& inner_;
+};
+
+// Best-of-`reps` mean ns per check over the whole stream. The memo lane
+// starts each rep from a fresh (empty) memo, so its cost includes the
+// misses that fill the table, as in a run.
+double selectorNsPerCheck(const PairLog& stream, const MonitorSelector& sel,
+                          bool memoized, int reps) {
+  double best = 0.0;
+  std::uint64_t verdicts = 0;
+  for (int rep = 0; rep < reps; ++rep) {
+    const auto start = wallClockNow();
+    const AlwaysMemoize forced(sel);
+    std::optional<MemoizedMonitorSelector> memo;
+    if (memoized) memo.emplace(forced);
+    const MonitorSelector& asked =
+        memo ? static_cast<const MonitorSelector&>(*memo) : sel;
+    for (const auto& [observer, target] : stream) {
+      verdicts += asked.isMonitor(observer, target);
+    }
+    const double ns =
+        secondsSince(start) * 1e9 / static_cast<double>(stream.size());
+    if (rep == 0 || ns < best) best = ns;
+  }
+  // The verdict count keeps the loop from being optimized away.
+  if (verdicts == ~std::uint64_t{0}) std::printf("(unreachable)\n");
+  return best;
+}
+
 struct Row {
   std::string name;
   double value;
@@ -422,7 +580,7 @@ int main(int argc, char** argv) {
           stderr,
           "usage: %s [--preset smoke|full] [--out PATH] [--million]\n"
           "  smoke     ~1 s, for CI artifact jobs\n"
-          "  full      ~20 s, the checked-in trajectory point (default)\n"
+          "  full      ~30 s, the checked-in trajectory point (default)\n"
           "  --million append the N = 10^6 memory-diet rows (minutes, ~3 GB)\n"
           "hardware-dependent rows (sharded 4-shard speedup) are tagged\n"
           "\"note\": \"skipped_1core\" on <4-thread hosts: recorded, but the\n"
@@ -547,6 +705,36 @@ int main(int argc, char** argv) {
         "WARNING: streamed metric state (%zu B) not below materialized "
         "(%zu B)\n",
         streamedLane.stateBytes, materializedLane.stateBytes);
+  }
+
+  // Consistency-check cost per hash, direct vs through the verdict memo:
+  // the ledger behind MonitorSelector::worthMemoizing().
+  const PairLog pairStream = recordPairStream(smoke ? (1u << 18) : (1u << 21));
+  {
+    // The property a memo feeds on: the share of checks that repeat an
+    // earlier (observer, target) pair.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> keys;
+    keys.reserve(pairStream.size());
+    for (const auto& [observer, target] : pairStream) {
+      keys.emplace_back(observer.packed(), target.packed());
+    }
+    std::sort(keys.begin(), keys.end());
+    const auto distinct = static_cast<double>(
+        std::unique(keys.begin(), keys.end()) - keys.begin());
+    rows.push_back({"selector_stream_repeat_fraction",
+                    1.0 - distinct / static_cast<double>(pairStream.size()),
+                    "fraction"});
+  }
+  for (const char* hashName : {"md5", "sha1", "splitmix64"}) {
+    const auto fn = hash::makeHashFunction(hashName);
+    const HashMonitorSelector sel(*fn, defaultK(2000), 2000);
+    const std::string prefix = std::string("selector_") + hashName;
+    rows.push_back({prefix + "_direct_ns",
+                    selectorNsPerCheck(pairStream, sel, false, reps),
+                    "ns/check"});
+    rows.push_back({prefix + "_memo_ns",
+                    selectorNsPerCheck(pairStream, sel, true, reps),
+                    "ns/check"});
   }
 
   if (million) {

@@ -1,13 +1,13 @@
 #include "avmon/monitor_selector.hpp"
 
-#include <array>
 #include <stdexcept>
 
 namespace avmon {
 namespace {
 
-std::uint64_t packId(const NodeId& id) noexcept {
-  return (static_cast<std::uint64_t>(id.ip()) << 16) | id.port();
+// A 64-bit digest scaled to [0, 1), as HashFunction::normalized does.
+double unitPoint(std::uint64_t digest) noexcept {
+  return static_cast<double>(digest) * 0x1.0p-64;
 }
 
 // splitmix-style combine of the two 48-bit identities; the memo table size
@@ -29,24 +29,32 @@ HashMonitorSelector::HashMonitorSelector(const hash::HashFunction& hash,
     throw std::invalid_argument("HashMonitorSelector: N must be >= 2");
   threshold_ =
       static_cast<double>(k_) / static_cast<double>(systemSize_);
+  // Binary search for the last digest inside the threshold; digest 0 always
+  // is (threshold_ > 0).
+  std::uint64_t lo = 0, hi = ~std::uint64_t{0};
+  while (lo < hi) {
+    const std::uint64_t mid = lo + (hi - lo) / 2 + 1;
+    if (unitPoint(mid) <= threshold_) {
+      lo = mid;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  maxDigest_ = lo;
 }
 
 double HashMonitorSelector::hashPoint(const NodeId& observer,
                                       const NodeId& target) const {
-  // 12-byte message: observer id then target id, matching the paper's
+  // The 12-byte message observer id then target id, matching the paper's
   // H(y, x) with y the (candidate) monitor.
-  std::array<std::uint8_t, 2 * NodeId::kWireSize> buf;
-  const auto yb = observer.toBytes();
-  const auto xb = target.toBytes();
-  std::copy(yb.begin(), yb.end(), buf.begin());
-  std::copy(xb.begin(), xb.end(), buf.begin() + NodeId::kWireSize);
-  return hash_.normalized(buf);
+  return unitPoint(hash_.digestPair64(observer.packed(), target.packed()));
 }
 
 bool HashMonitorSelector::isMonitor(const NodeId& observer,
                                     const NodeId& target) const {
   if (observer == target) return false;
-  return hashPoint(observer, target) <= threshold_;
+  // Same verdict as hashPoint(observer, target) <= threshold_.
+  return hash_.digestPair64(observer.packed(), target.packed()) <= maxDigest_;
 }
 
 std::string HashMonitorSelector::describe() const {
@@ -56,8 +64,9 @@ std::string HashMonitorSelector::describe() const {
 
 bool MemoizedMonitorSelector::isMonitor(const NodeId& observer,
                                         const NodeId& target) const {
-  const std::uint64_t obs = packId(observer);
-  const std::uint64_t tgt = packId(target);
+  if (slots_.empty()) return inner_.isMonitor(observer, target);
+  const std::uint64_t obs = observer.packed();
+  const std::uint64_t tgt = target.packed();
   const std::uint64_t h = mixPair(obs, tgt);
 
   const std::size_t mask = slots_.size() - 1;

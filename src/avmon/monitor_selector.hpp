@@ -37,6 +37,10 @@ class MonitorSelector {
 
   /// For reports.
   virtual std::string describe() const = 0;
+
+  /// True when one isMonitor call costs more than a probe of a verdict
+  /// cache, i.e. a MemoizedMonitorSelector in front of this one pays off.
+  virtual bool worthMemoizing() const { return false; }
 };
 
 /// The paper's hash-based selection scheme.
@@ -50,6 +54,9 @@ class HashMonitorSelector final : public MonitorSelector {
 
   bool isMonitor(const NodeId& observer, const NodeId& target) const override;
   std::string describe() const override;
+  /// Follows the hash: md5 and sha1 digests cost more than a memo probe,
+  /// the splitmix64 pair fold costs less.
+  bool worthMemoizing() const override { return hash_.costlyDigest(); }
 
   unsigned k() const noexcept { return k_; }
   std::size_t systemSize() const noexcept { return systemSize_; }
@@ -66,29 +73,43 @@ class HashMonitorSelector final : public MonitorSelector {
   unsigned k_;
   std::size_t systemSize_;
   double threshold_;
+  // Largest digest d with d·2^-64 <= threshold_ (the hashPoint rule, which
+  // is monotone in d), so isMonitor compares integers: no conversion to
+  // double, whose sign-dependent branch mispredicts on random digests.
+  std::uint64_t maxDigest_;
 };
 
 /// Memoizing decorator: caches pair verdicts so repeated consistency checks
-/// across millions of simulated rounds don't recompute the hash. A selector
-/// is a pure function of the two ids, so memoization cannot change any
-/// verdict; protocol-level computation metrics are counted by the *nodes*
-/// per check performed, so it is invisible to the measured results too.
-/// This is the hottest lookup in a simulated run (a 600-node scenario asks
-/// ~10^8 times about ~10^5 distinct pairs), so the cache is a flat
-/// open-addressing table — one probe, no allocation per pair — bounded by
-/// kMaxSlots; once full, further distinct pairs are computed directly.
-/// Not thread-safe: share one per single-threaded simulation world (each
-/// ParallelScenarioRunner worker owns its own).
+/// don't recompute an expensive hash. A selector is a pure function of the
+/// two ids, so memoization cannot change any verdict; protocol-level
+/// computation metrics are counted by the *nodes* per check performed, so
+/// it is invisible to the measured results too.
+///
+/// It caches only when the inner selector says so (worthMemoizing());
+/// otherwise it forwards every call and allocates nothing. bench_sim_core's
+/// selector_<hash>_{direct,memo}_ns rows replay the checks of a SYNTH-BD
+/// N = 2000 run (88% of them repeat an earlier pair); on 4-core x86-64 a
+/// check costs, direct vs memoized, md5 286 vs 72 ns, sha1 558 vs 128 ns,
+/// splitmix64 14 vs 52 ns: a splitmix64 digest is cheaper than the probe.
+///
+/// The cache is a flat open-addressing table — one probe, no allocation per
+/// pair — bounded by kMaxSlots; once full, further distinct pairs are
+/// computed directly. Not thread-safe: share one per single-threaded
+/// simulation world (each ParallelScenarioRunner worker owns its own).
 class MemoizedMonitorSelector final : public MonitorSelector {
  public:
   explicit MemoizedMonitorSelector(const MonitorSelector& inner)
-      : inner_(inner), slots_(kInitialSlots) {}
+      : inner_(inner) {
+    if (inner_.worthMemoizing()) slots_.resize(kInitialSlots);
+  }
 
   bool isMonitor(const NodeId& observer, const NodeId& target) const override;
   std::string describe() const override {
-    return inner_.describe() + " (memoized)";
+    return inner_.describe() + (slots_.empty() ? "" : " (memoized)");
   }
 
+  /// Verdicts cached; always 0 when the inner selector is not worth
+  /// memoizing.
   std::size_t cacheSize() const noexcept { return count_; }
 
  private:
@@ -108,7 +129,7 @@ class MemoizedMonitorSelector final : public MonitorSelector {
   void grow() const;
 
   const MonitorSelector& inner_;
-  mutable std::vector<Slot> slots_;
+  mutable std::vector<Slot> slots_;  // empty: forward every call
   mutable std::size_t count_ = 0;
 };
 

@@ -322,8 +322,8 @@ void AvmonNode::discoverPairs(const std::vector<NodeId>& mine,
   FlatSeenSet& seen = seenPairsScratch;
   seen.beginRound(mine.size() * theirs.size());
   const auto pairKey = [](const NodeId& a, const NodeId& b) {
-    const std::uint64_t x = (static_cast<std::uint64_t>(a.ip()) << 16) | a.port();
-    const std::uint64_t y = (static_cast<std::uint64_t>(b.ip()) << 16) | b.port();
+    const std::uint64_t x = a.packed();
+    const std::uint64_t y = b.packed();
     return splitmix64Mix(std::min(x, y)) ^ std::max(x, y);
   };
 

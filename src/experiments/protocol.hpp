@@ -42,7 +42,8 @@ struct ProtocolContext {
   const trace::AvailabilityTrace& trace;
   const hash::HashFunction& hashFn;
   const HashMonitorSelector& selector;
-  /// One memoized selector per shard (thread-private verdict caches).
+  /// One memoized selector per shard (thread-private verdict caches; a
+  /// plain forwarder when `selector` is not worth memoizing).
   const std::vector<std::unique_ptr<MemoizedMonitorSelector>>& memoSelectors;
   Rng& rootRng;
   /// Resolved hostile cohorts, or nullptr when the scenario arms no attack

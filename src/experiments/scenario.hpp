@@ -354,9 +354,10 @@ class ScenarioRunner final : public churn::LifecycleListener {
   std::unique_ptr<hash::HashFunction> hashFn_;
   std::unique_ptr<HashMonitorSelector> selector_;
   // Nodes check the consistency condition through per-shard memos:
-  // verdicts are identical (the selector is a pure function) but the
-  // ~10^8 repeated checks of a long run become single table probes. One
-  // memo per shard keeps the caches thread-private.
+  // verdicts are identical (the selector is a pure function), and for an
+  // md5/sha1 selector a repeated check becomes a single table probe. Over
+  // splitmix64 the memos cache nothing and forward each call (see
+  // MemoizedMonitorSelector). One memo per shard keeps caches thread-private.
   std::vector<std::unique_ptr<MemoizedMonitorSelector>> memoSelectors_;
 
   trace::AvailabilityTrace trace_;

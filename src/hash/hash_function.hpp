@@ -24,6 +24,17 @@ class HashFunction {
   /// First 64 bits of the digest, interpreted big-endian.
   virtual std::uint64_t digest64(ByteSpan data) const = 0;
 
+  /// digest64 of the 12-byte pair message observer ‖ target, each id given
+  /// as its 48-bit packing (NodeId::packed()). The default builds the
+  /// big-endian buffer; an override must return the same value for every
+  /// pair — the monitor relation hashes pairs through this entry point.
+  virtual std::uint64_t digestPair64(std::uint64_t observer48,
+                                     std::uint64_t target48) const;
+
+  /// True when one digest costs more than a probe of a verdict cache, so
+  /// callers that ask about the same pair repeatedly should memoize.
+  virtual bool costlyDigest() const noexcept = 0;
+
   /// Human-readable name for reports ("md5", "sha1", "splitmix64").
   virtual std::string name() const = 0;
 
@@ -39,6 +50,7 @@ class Md5HashFunction final : public HashFunction {
  public:
   std::uint64_t digest64(ByteSpan data) const override;
   std::string name() const override { return "md5"; }
+  bool costlyDigest() const noexcept override { return true; }
 };
 
 /// SHA-1-backed hash (the paper's named alternative).
@@ -46,14 +58,19 @@ class Sha1HashFunction final : public HashFunction {
  public:
   std::uint64_t digest64(ByteSpan data) const override;
   std::string name() const override { return "sha1"; }
+  bool costlyDigest() const noexcept override { return true; }
 };
 
 /// splitmix64 over a 64-bit fold of the input: ~100x faster than MD5, good
-/// avalanche, but not preimage-resistant. Ablation only.
+/// avalanche, but not preimage-resistant. Ablation only. Its pair digest
+/// folds the two packed ids directly, cheaper than any cache probe.
 class SplitMix64HashFunction final : public HashFunction {
  public:
   std::uint64_t digest64(ByteSpan data) const override;
+  std::uint64_t digestPair64(std::uint64_t observer48,
+                             std::uint64_t target48) const override;
   std::string name() const override { return "splitmix64"; }
+  bool costlyDigest() const noexcept override { return false; }
 };
 
 /// Factory by name; throws std::invalid_argument on unknown names.

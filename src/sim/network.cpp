@@ -29,9 +29,8 @@ std::uint32_t Network::slotFor(const NodeId& id) {
     // The per-sender stream is keyed by (network seed, node id) — not by
     // slot number or attach order — so the same node gets the same stream
     // in every partitioning of the population.
-    const std::uint64_t idKey =
-        (static_cast<std::uint64_t>(id.ip()) << 16) | id.port();
-    state.stream = Rng(splitmix64Mix(streamBase_ ^ splitmix64Mix(idKey)));
+    state.stream =
+        Rng(splitmix64Mix(streamBase_ ^ splitmix64Mix(id.packed())));
     // The stream is shard-owned state like the network itself.
     AVMON_DET_BIND_LIKE(state.stream.detTag, detTag);
     state.globalIndex =

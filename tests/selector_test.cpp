@@ -3,11 +3,15 @@
 // non-correlation) — plus expected pinging-set size.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "avmon/monitor_selector.hpp"
+#include "common/rng.hpp"
 #include "hash/hash_function.hpp"
 
 namespace avmon {
@@ -204,6 +208,41 @@ TEST_F(SelectorTest, MemoizedMatchesInner) {
   EXPECT_GT(memo.cacheSize(), 0u);
 }
 
+// A hash whose every digest is one chosen value, to drive isMonitor's
+// integer threshold across the K/N boundary.
+class FixedDigestHash final : public hash::HashFunction {
+ public:
+  std::uint64_t value = 0;
+  std::uint64_t digest64(ByteSpan) const override { return value; }
+  std::string name() const override { return "fixed"; }
+  bool costlyDigest() const noexcept override { return false; }
+};
+
+TEST(SelectorThresholdTest, IntegerThresholdMatchesHashPointRule) {
+  FixedDigestHash fixed;
+  const NodeId a = NodeId::fromIndex(1), b = NodeId::fromIndex(2);
+  const std::pair<unsigned, std::size_t> kn[] = {
+      {1, 2}, {1, 3}, {3, 7}, {7, 10}, {11, 2000}, {1, 1000000}, {5, 5}, {9, 4}};
+  for (const auto& [k, n] : kn) {
+    HashMonitorSelector sel(fixed, k, n);
+    const double scaled = std::ldexp(sel.threshold(), 64);
+    const std::uint64_t near = scaled >= 0x1.0p64
+                                   ? ~std::uint64_t{0}
+                                   : static_cast<std::uint64_t>(scaled);
+    std::vector<std::uint64_t> digests = {0, 1, ~std::uint64_t{0}};
+    // Wide enough to cross the double rounding step at the boundary.
+    for (std::uint64_t d = near > 4096 ? near - 4096 : 0;; ++d) {
+      digests.push_back(d);
+      if (d == ~std::uint64_t{0} || d == near + 4096) break;
+    }
+    for (const std::uint64_t d : digests) {
+      fixed.value = d;
+      ASSERT_EQ(sel.isMonitor(a, b), sel.hashPoint(a, b) <= sel.threshold())
+          << "K=" << k << " N=" << n << " digest=" << d;
+    }
+  }
+}
+
 // Same selection properties must hold for every hash backend.
 class SelectorHashParamTest : public ::testing::TestWithParam<const char*> {};
 
@@ -224,6 +263,63 @@ TEST_P(SelectorHashParamTest, ExpectedSetSizeHoldsForAllHashes) {
     total += static_cast<double>(ps);
   }
   EXPECT_NEAR(total / 100.0, static_cast<double>(kK), 2.0) << GetParam();
+}
+
+// digestPair64 is the entry point the consistency check uses; it must agree
+// with digest64 over the paper's 12-byte message on every pair.
+TEST_P(SelectorHashParamTest, DigestPairMatchesTwelveByteDigest) {
+  const auto fn = hash::makeHashFunction(GetParam());
+  const auto check = [&](const NodeId& a, const NodeId& b) {
+    std::array<std::uint8_t, 2 * NodeId::kWireSize> buf;
+    const auto ab = a.toBytes();
+    const auto bb = b.toBytes();
+    std::copy(ab.begin(), ab.end(), buf.begin());
+    std::copy(bb.begin(), bb.end(), buf.begin() + NodeId::kWireSize);
+    ASSERT_EQ(fn->digestPair64(a.packed(), b.packed()), fn->digest64(buf))
+        << GetParam() << " " << a.toString() << " " << b.toString();
+  };
+
+  const std::vector<NodeId> edges = {
+      NodeId(),                        NodeId(0xFFFFFFFFu, 0),
+      NodeId(0xFFFFFFFFu, 65535),      NodeId(0, 65535),
+      NodeId(0x0A000001u, 0),          NodeId(0x0A000001u, 65535),
+      NodeId(0x80000000u, 1),          NodeId::fromIndex(0)};
+  for (const NodeId& a : edges) {
+    for (const NodeId& b : edges) check(a, b);
+  }
+
+  Rng rng(20070625);
+  const auto randomId = [&rng] {
+    const std::uint64_t bits = rng();
+    return NodeId(static_cast<std::uint32_t>(bits >> 32),
+                  static_cast<std::uint16_t>(bits));
+  };
+  for (int i = 0; i < 100'000; ++i) check(randomId(), randomId());
+}
+
+// The memo caches only in front of hashes that cost more than a probe
+// (md5, sha1); over splitmix64 it forwards. Verdicts agree either way.
+TEST_P(SelectorHashParamTest, MemoCachesOnlyCostlyHashes) {
+  const auto fn = hash::makeHashFunction(GetParam());
+  HashMonitorSelector inner(*fn, 10, 500);
+  MemoizedMonitorSelector memo(inner);
+  EXPECT_EQ(inner.worthMemoizing(), fn->costlyDigest());
+  EXPECT_FALSE(memo.worthMemoizing());
+  for (int pass = 0; pass < 2; ++pass) {  // second pass: the cached path
+    for (std::uint32_t i = 0; i < 40; ++i) {
+      for (std::uint32_t j = 0; j < 40; ++j) {
+        const NodeId a = NodeId::fromIndex(i), b = NodeId::fromIndex(j);
+        ASSERT_EQ(memo.isMonitor(a, b), inner.isMonitor(a, b)) << GetParam();
+      }
+    }
+  }
+  if (std::string(GetParam()) == "splitmix64") {
+    EXPECT_FALSE(inner.worthMemoizing());
+    EXPECT_EQ(memo.cacheSize(), 0u);
+  } else {
+    EXPECT_TRUE(inner.worthMemoizing());
+    EXPECT_GT(memo.cacheSize(), 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllHashes, SelectorHashParamTest,
