@@ -26,14 +26,19 @@ void CentralServer::start() {
 void CentralServer::tick() {
   // Ping in registration order, not container hash order: the ping
   // sequence is observable behavior (traffic counters, history sample
-  // timestamps), so it must be a function of what the members did.
+  // timestamps), so it must be a function of what the members did. Each
+  // sample is recorded when its exchange settles but stamped with the tick
+  // instant, so the sample grid is one point per member per period.
+  const SimTime sentAt = sim_.now();
   for (const NodeId& member : memberOrder_) {
-    history::RawHistory& hist = members_.at(member);
     ++pingsSent_;
-    const bool up =
-        net_.exchange(id_, member, sim::PingRequest{pingBytes_}).has_value();
-    if (!up) ++uselessPings_;
-    hist.record(sim_.now(), up);
+    net_.exchangeAsync(id_, member, sim::PingRequest{pingBytes_},
+                       [this, member, sentAt](
+                           std::optional<sim::PingResponse> pong) {
+                         const bool up = pong.has_value();
+                         if (!up) ++uselessPings_;
+                         members_.at(member).record(sentAt, up);
+                       });
   }
 }
 

@@ -6,7 +6,7 @@
 //  * Partition windows: over [start, end) the population (by global node
 //    index) is split into `groups` contiguous blocks; traffic between
 //    different blocks is lost *in flight* — one-way messages at their
-//    delivery instant (counted in lost()), deferred-RPC request legs by the
+//    delivery instant (counted in lost()), RPC request legs by the
 //    caller's rpcTimeout backstop — exactly the churn-mid-flight semantics,
 //    so a partition is indistinguishable from the far side dying.
 //  * Correlated failure bursts: a contiguous cluster holding `fraction` of

@@ -10,7 +10,7 @@ RpcResponse Endpoint::onRpc(const NodeId& /*from*/, const RpcRequest& request) {
   // Generic liveness acknowledgement: the network only dispatches to
   // attached, up endpoints, so merely answering proves aliveness. Each
   // request gets an empty response of its matching type, keeping the
-  // RpcTraits contract (exchange() relies on it) for endpoints that don't
+  // RpcTraits contract (exchangeAsync relies on it) for endpoints that don't
   // speak the protocol behind the request.
   return std::visit(
       [](const auto& req) -> RpcResponse {
@@ -174,9 +174,9 @@ void Network::serveRpc(const NodeId& from, std::uint32_t toSlot,
 }
 
 void Network::completeRpc(RpcResponse response, const RpcTicket& ticket) {
-  if (*ticket.settled) return;  // beaten by the deadline
-  *ticket.settled = true;
-  (*ticket.handler)(std::optional<RpcResponse>(std::move(response)));
+  if (ticket->settled) return;  // beaten by the deadline
+  ticket->settled = true;
+  ticket->handler(std::optional<RpcResponse>(std::move(response)));
 }
 
 void Network::scheduleHandoffDelivery(SimTime due, const NodeId& from,
@@ -208,59 +208,31 @@ void Network::scheduleHandoffComplete(SimTime due, RpcResponse response,
   });
 }
 
-std::optional<RpcResponse> Network::call(const NodeId& from, const NodeId& to,
-                                         const RpcRequest& request) {
-  AVMON_DET_CHECK(detTag, "Network::call");
-  NodeState& sender = slots_[slotFor(from)];
-  charge(sender, requestWireBytes(request));
-  if (config_.rpcFailProbability > 0 &&
-      sender.stream.chance(config_.rpcFailProbability)) {
-    return std::nullopt;  // injected timeout; request bytes already spent
-  }
-  const std::uint32_t fromIndex = sender.globalIndex;
-  NodeState& target = slots_[slotFor(to)];
-  if (!target.up || target.endpoint == nullptr) {
-    return std::nullopt;
-  }
-  if (plan_ != nullptr &&
-      !plan_->reachable(sim_.now(), fromIndex, target.globalIndex)) {
-    // Instant lane: partition judged at call time, like liveness — a
-    // timeout with only the request bytes spent.
-    return std::nullopt;
-  }
-  charge(target, responseWireBytes(request));
-  // Copy the endpoint pointer first: serving the RPC may attach new nodes,
-  // which can reallocate slots_ and dangle `target`.
-  Endpoint* endpoint = target.endpoint;
-  return endpoint->onRpc(from, request);
-}
-
-void Network::callAsyncDeferred(const NodeId& from, const NodeId& to,
-                                RpcRequest request, RpcHandler handler) {
-  AVMON_DET_CHECK(detTag, "Network::callAsyncDeferred");
-  // Latency-modeled mode: the request leg travels, the target serves the
-  // request at arrival time (so its liveness is judged then, like one-way
-  // delivery), and the response leg travels back. The caller's deadline is
-  // a single backstop event scheduled now, at exactly rpcTimeout: it fires
-  // with nullopt unless a response landed first, so every failure mode —
-  // injected fault, dead target, or a round trip slower than the deadline
-  // — surfaces at the same instant and is indistinguishable by timing.
+void Network::callAsyncErased(const NodeId& from, const NodeId& to,
+                              RpcRequest request, RpcHandler handler) {
+  AVMON_DET_CHECK(detTag, "Network::callAsyncErased");
+  // The request leg travels, the target serves the request at arrival time
+  // (so its liveness is judged then, like one-way delivery), and the
+  // response leg travels back. The caller's deadline is a single backstop
+  // event scheduled now, at exactly rpcTimeout: it fires with nullopt
+  // unless a response landed first, so every failure mode — injected fault,
+  // dead target, or a round trip slower than the deadline — surfaces at the
+  // same instant and is indistinguishable by timing.
   const std::uint32_t toIndex = plan_ != nullptr ? globalIndexOf(to) : 0;
   NodeState& sender = slots_[slotFor(from)];
   charge(sender, requestWireBytes(request));
-  auto settled = std::make_shared<bool>(false);
-  auto sharedHandler = std::make_shared<RpcHandler>(std::move(handler));
-  sim_.after(config_.rpcTimeout, [settled, sharedHandler] {
-    if (*settled) return;
-    *settled = true;
-    (*sharedHandler)(std::nullopt);
+  auto ticket = std::make_shared<PendingRpc>();
+  ticket->handler = std::move(handler);
+  sim_.after(config_.rpcTimeout, [ticket] {
+    if (ticket->settled) return;
+    ticket->settled = true;
+    ticket->handler(std::nullopt);
   });
   if (config_.rpcFailProbability > 0 &&
       sender.stream.chance(config_.rpcFailProbability)) {
     return;  // the request is lost; the backstop reports the timeout
   }
   const SimDuration requestLatency = sampleLatency(sender, toIndex);
-  RpcTicket ticket{settled, sharedHandler};
   if (router_ != nullptr) {
     // Sharded mode: the request leg crosses the hand-off layer to the
     // target's home shard; the response leg crosses back. The backstop

@@ -8,19 +8,14 @@
 //    (sim/message.hpp), delivered after a small random latency; if the
 //    target is down at delivery time the message is lost silently (the
 //    sender learns nothing — deaths are silent).
-//  * Synchronous exchanges (coarse-view ping, CV fetch, swap, monitoring
-//    ping) are typed `RpcRequest`/`RpcResponse` pairs (sim/rpc.hpp),
-//    modeled by default as an instantaneous RPC: the caller gets the
-//    target's response if and only if the target is up right now, and a
-//    timeout otherwise (empty optional; request bytes spent, response
-//    bytes not). Because protocol periods are minutes and network latency
-//    is milliseconds, collapsing the RTT does not affect any metric the
-//    paper reports; it removes a large constant factor of simulator
-//    events. Protocol code issues every exchange through `callAsync` /
-//    `exchangeAsync`; with `NetworkConfig::deferredRpc` off (the default)
-//    the completion handler runs inline and `call` is the degenerate
-//    instantaneous case, with it on both RPC legs travel with modeled
-//    latency and the handler fires as a simulator event.
+//  * Exchanges (coarse-view ping, CV fetch, swap, monitoring ping) are
+//    typed `RpcRequest`/`RpcResponse` pairs (sim/rpc.hpp) issued through
+//    the Transport seam's `exchangeAsync`. Both legs travel with modeled
+//    latency: the target serves the request at arrival time if it is up
+//    then, and the caller's handler fires as a simulator event with the
+//    response, or with nullopt at `rpcTimeout` (request bytes spent,
+//    response bytes not). These are the semantics net::LiveTransport has
+//    over real sockets, so both transports share one exchange model.
 //
 // Node bookkeeping is slot-based: a NodeId is resolved to a dense slot
 // index once per operation (one hash probe), and everything that happens
@@ -32,11 +27,8 @@
 // messages), which feeds the paper's bandwidth figures (Section 5.1, 5.4).
 #pragma once
 
-#include <cassert>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -66,14 +58,7 @@ struct NetworkConfig {
   double messageDropProbability = 0.0;
   double rpcFailProbability = 0.0;
 
-  /// When true, `callAsync` models both RPC legs with real latency: the
-  /// request travels for one sampled latency, the response for another,
-  /// and the completion handler fires as a simulator event. When false
-  /// (default), `callAsync` completes inline through the instantaneous
-  /// `call` (the paper's collapsed-RTT accounting) with zero allocations.
-  bool deferredRpc = false;
-
-  /// How long a deferred caller waits before declaring a timeout (the
+  /// How long a caller waits before declaring a timeout (the
   /// handler fires with nullopt after this much simulated time).
   SimDuration rpcTimeout = 200 * kMillisecond;
 };
@@ -96,20 +81,24 @@ struct HandoffKey {
   std::uint64_t seq = 0;
 };
 
-/// Caller-side completion state of an in-flight deferred RPC. The ticket
-/// travels with the request to the target shard and back; both fields are
-/// only ever dereferenced in the caller's shard (serve side just carries
-/// them), so no locking is needed beyond the barrier hand-off.
-struct RpcTicket {
-  std::shared_ptr<bool> settled;
-  std::shared_ptr<RpcHandler> handler;
+/// Caller-side completion state of an in-flight RPC, shared by the
+/// rpcTimeout backstop and the response leg: whichever fires first settles
+/// it and runs the handler. Only ever touched in the caller's shard (the
+/// serve side just carries the ticket), so no locking is needed beyond the
+/// barrier hand-off.
+struct PendingRpc {
+  bool settled = false;
+  RpcHandler handler;
 };
 
-/// Hook a sharded driver installs on each shard's Network. When present,
-/// every inter-node hand-off (one-way delivery, deferred-RPC request leg,
-/// deferred-RPC response leg) is routed through it instead of being
-/// scheduled directly, so the driver can carry it across the shard
-/// boundary and insert it at a window barrier in deterministic key order.
+/// The handle that travels with the request to the target shard and back.
+using RpcTicket = std::shared_ptr<PendingRpc>;
+
+/// Hook ShardedSimulator installs on each shard's Network. When present,
+/// every inter-node hand-off (one-way delivery, RPC request leg, RPC
+/// response leg) is routed through it instead of being scheduled directly,
+/// so the sharded simulator can carry it across the shard boundary and
+/// insert it at a window barrier in deterministic key order.
 class CrossShardRouter {
  public:
   virtual ~CrossShardRouter() = default;
@@ -122,12 +111,12 @@ class CrossShardRouter {
   virtual void handoffMessage(SimTime due, HandoffKey key, const NodeId& from,
                               const NodeId& to, Message message) = 0;
 
-  /// Deferred-RPC request leg, arriving at `to`'s home shard at `due`.
+  /// RPC request leg, arriving at `to`'s home shard at `due`.
   virtual void handoffRpcRequest(SimTime due, HandoffKey key,
                                  const NodeId& from, const NodeId& to,
                                  RpcRequest request, RpcTicket ticket) = 0;
 
-  /// Deferred-RPC response leg, completing on the *caller*'s home shard
+  /// RPC response leg, completing on the *caller*'s home shard
   /// (`caller`) at `due`.
   virtual void handoffRpcResponse(SimTime due, HandoffKey key,
                                   const NodeId& caller, RpcResponse response,
@@ -178,65 +167,15 @@ class Network final : public Transport {
   /// Delivered after a uniform random latency iff the target is up then.
   void send(const NodeId& from, const NodeId& to, Message message) override;
 
-  /// Instantaneous typed exchange. Charges the request leg to `from`
-  /// unconditionally; if the target is up (and the injected-failure roll
-  /// passes), charges the response leg to `to`, dispatches the request to
-  /// the target's onRpc, and returns its response. Otherwise returns
-  /// nullopt — a timeout with only the request bytes spent. This is the
-  /// single place the reliable/faulty RPC semantics live.
-  std::optional<RpcResponse> call(const NodeId& from, const NodeId& to,
-                                  const RpcRequest& request);
-
-  /// Typed exchange returning the concrete response type for `Request`
-  /// (e.g. exchange(x, w, CvFetchRequest{...}) -> optional<CvFetchResponse>).
-  /// Protocol call sites use this; no variant handling, no downcasts. An
-  /// onRpc override answering with the wrong response alternative is a
-  /// contract violation at the *responder* — asserted here by name, and
-  /// degraded to a timeout when assertions are compiled out.
-  template <class Request>
-  std::optional<typename RpcTraits<Request>::Response> exchange(
-      const NodeId& from, const NodeId& to, Request request) {
-    auto response = call(from, to, RpcRequest(std::move(request)));
-    if (!response) return std::nullopt;
-    using Response = typename RpcTraits<Request>::Response;
-    auto* typed = std::get_if<Response>(&*response);
-    assert(typed != nullptr &&
-           "Endpoint::onRpc returned a response alternative that does not "
-           "match RpcTraits for the request it was sent");
-    if (typed == nullptr) return std::nullopt;
-    return std::move(*typed);
-  }
-
-  /// Asynchronous exchange. With deferredRpc off (default) this is exactly
-  /// `call` with the result handed to `handler` before returning — no
-  /// event, no allocation. With deferredRpc on, the request travels one
-  /// sampled latency, the target serves it then (liveness is checked at
-  /// arrival time), the response travels another latency, and `handler`
-  /// fires as a simulator event — or with nullopt after `rpcTimeout` if
-  /// the exchange failed.
-  template <class F>
-  void callAsync(const NodeId& from, const NodeId& to, RpcRequest request,
-                 F&& handler) {
-    if (!config_.deferredRpc) {
-      std::forward<F>(handler)(call(from, to, request));
-      return;
-    }
-    callAsyncDeferred(from, to, std::move(request),
-                      RpcHandler(std::forward<F>(handler)));
-  }
-
-  /// The Transport-erased form of callAsync. Protocol code reaches this
-  /// through Transport::exchangeAsync; the semantics are identical to the
-  /// template above (inline completion with deferredRpc off, two modeled
-  /// legs with it on).
+  /// Asynchronous exchange (the Transport seam; protocol code reaches it
+  /// through exchangeAsync). Charges the request leg to `from` now. The
+  /// request travels one sampled latency and the target serves it at
+  /// arrival (liveness is judged then, and the response leg is charged to
+  /// the target); the response travels another latency and `handler` fires
+  /// as a simulator event — or with nullopt after `rpcTimeout` if the
+  /// exchange failed.
   void callAsyncErased(const NodeId& from, const NodeId& to,
-                       RpcRequest request, RpcHandler handler) override {
-    if (!config_.deferredRpc) {
-      handler(call(from, to, request));
-      return;
-    }
-    callAsyncDeferred(from, to, std::move(request), std::move(handler));
-  }
+                       RpcRequest request, RpcHandler handler) override;
 
   // ---- sharded execution (driven by sim::ShardedSimulator) ----
 
@@ -346,16 +285,12 @@ class Network final : public Transport {
   // delivery of a one-way message at its due instant...
   void deliver(const NodeId& from, std::uint32_t toSlot,
                const Message& message);
-  // ...the target side of a deferred RPC (liveness at arrival, response
+  // ...the target side of an RPC (liveness at arrival, response
   // charge, onRpc, response leg — via the router when sharded)...
   void serveRpc(const NodeId& from, std::uint32_t toSlot,
                 const RpcRequest& request, RpcTicket ticket);
   // ...and the caller-side completion racing the rpcTimeout backstop.
   static void completeRpc(RpcResponse response, const RpcTicket& ticket);
-
-  // The latency-modeled two-leg exchange (deferredRpc on).
-  void callAsyncDeferred(const NodeId& from, const NodeId& to,
-                         RpcRequest request, RpcHandler handler);
 
   Simulator& sim_;
   NetworkConfig config_;

@@ -93,7 +93,8 @@ using RpcResponse = std::variant<PingResponse, CvFetchResponse, SwapResponse,
                                  MonitorPingResponse>;
 
 /// Compile-time request → response mapping, so call sites get the concrete
-/// response type back (see Network::exchange) without touching the variant.
+/// response type back (see Transport::exchangeAsync) without touching the
+/// variant.
 template <class Request>
 struct RpcTraits;
 template <>

@@ -11,13 +11,13 @@
 //    than t + W >= (k+1)W — i.e. always in a LATER window — so shards
 //    never need to see each other's state mid-window and can run their
 //    windows fully in parallel.
-//  * Every inter-node hand-off (one-way delivery, deferred-RPC request
-//    leg, deferred-RPC response leg) — including traffic whose endpoints
-//    share a shard — is pushed onto an SPSC queue (one per source/dest
-//    shard pair) instead of being scheduled directly. At the window
-//    barrier each destination shard drains its column of queues, sorts
-//    the batch by the shard-count-invariant key (due, sender index,
-//    per-sender seq), and inserts it into its simulator.
+//  * Every inter-node hand-off (one-way delivery, RPC request leg, RPC
+//    response leg) — including traffic whose endpoints share a shard — is
+//    pushed onto an SPSC queue (one per source/dest shard pair) instead of
+//    being scheduled directly. At the window barrier each destination
+//    shard drains its column of queues, sorts the batch by the
+//    shard-count-invariant key (due, sender index, per-sender seq), and
+//    inserts it into its simulator.
 //
 // Determinism: because (a) the barrier at which an item is inserted is a
 // function of its send time alone, (b) batches are sorted by a key that
@@ -25,10 +25,10 @@
 // drawn from per-sender streams keyed by node id (see Network), the
 // execution each node observes is bit-identical for EVERY shard count —
 // S = 8 reproduces S = 1 exactly, which the sharded property suite pins
-// against golden fingerprints. The price of that guarantee: callers must
-// route synchronous state exchanges through the deferred-RPC mode when
-// S > 1 (an instantaneous Network::call cannot cross a shard boundary),
-// and scenario metrics must be per-node or order-insensitive aggregates.
+// against golden fingerprints. The price of that guarantee: every state
+// exchange is an asynchronous two-leg RPC whose handler fires as a
+// simulator event (the only exchange Network offers), and scenario
+// metrics must be per-node or order-insensitive aggregates.
 #pragma once
 
 #include <atomic>
@@ -51,20 +51,20 @@
 
 namespace avmon::sim {
 
-/// Deferred-RPC request leg crossing to the target's shard.
+/// RPC request leg crossing to the target's shard.
 struct RpcRequestHandoff {
   RpcRequest request;
   RpcTicket ticket;
 };
 
-/// Deferred-RPC response leg crossing back to the caller's shard.
+/// RPC response leg crossing back to the caller's shard.
 struct RpcResponseHandoff {
   RpcResponse response;
   RpcTicket ticket;
 };
 
-/// One cross-shard event in flight: a one-way message, a deferred-RPC
-/// request leg, or a deferred-RPC response leg. The payload is a variant
+/// One cross-shard event in flight: a one-way message, an RPC request
+/// leg, or an RPC response leg. The payload is a variant
 /// — these records are queued, sorted, and moved on the per-window hot
 /// path, so each carries only its own alternative.
 struct Handoff {

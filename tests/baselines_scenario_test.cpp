@@ -261,23 +261,19 @@ TEST(BaselinesScenarioTest, PoolShardOverrideClampsToProtocolLimit) {
   EXPECT_EQ(runners[1]->world().shardCount(), 1u);  // broadcast clamped
 }
 
-TEST(BaselinesScenarioTest, BaselinesRunOnBothRpcLanes) {
-  // deferredRpc on (harness default) and off must both work at one shard
-  // for every baseline — the central scheme's synchronous exchanges and
-  // the broadcast one-way traffic ride the same transport either way.
+TEST(BaselinesScenarioTest, BaselinesRunAtOneShard) {
+  // Every baseline works at one shard — the central scheme's ping
+  // exchanges and the broadcast one-way traffic ride the same two-leg
+  // transport as AVMON.
   for (const char* protocol :
        {"broadcast", "central", "dht_ring", "self_report"}) {
-    for (const bool deferred : {true, false}) {
-      Scenario s = smallScenario(protocol, churn::Model::kSynth);
-      s.stableSize = 40;
-      s.horizon = 45 * kMinute;
-      s.warmup = 15 * kMinute;
-      s.deferredRpc = deferred;
-      ScenarioRunner runner(s);
-      runner.run();
-      EXPECT_GE(runner.discoveredFraction(1), 0.5)
-          << protocol << " deferred=" << deferred;
-    }
+    Scenario s = smallScenario(protocol, churn::Model::kSynth);
+    s.stableSize = 40;
+    s.horizon = 45 * kMinute;
+    s.warmup = 15 * kMinute;
+    ScenarioRunner runner(s);
+    runner.run();
+    EXPECT_GE(runner.discoveredFraction(1), 0.5) << protocol;
   }
 }
 

@@ -27,6 +27,22 @@ class CountingEndpoint final : public Endpoint {
   int received = 0;
 };
 
+// How a batch of exchanges settled: handlers fired, and those with a
+// response.
+struct Tally {
+  int done = 0;
+  int ok = 0;
+};
+
+template <class Request>
+void exchangeTallied(Network& net, const NodeId& from, const NodeId& to,
+                     Request request, Tally& tally) {
+  net.exchangeAsync(from, to, std::move(request), [&tally](auto response) {
+    ++tally.done;
+    if (response) ++tally.ok;
+  });
+}
+
 TEST(NetworkFaultTest, DropProbabilityIsHonored) {
   Simulator sim;
   NetworkConfig cfg;
@@ -103,29 +119,13 @@ TEST(NetworkFaultTest, RpcFailProbabilityIsHonored) {
   net.setUp(idB, true);
 
   constexpr int kCalls = 2000;
-  int ok = 0;
+  Tally tally;
   for (int i = 0; i < kCalls; ++i) {
-    ok += net.exchange(idA, idB, PingRequest{8}).has_value() ? 1 : 0;
+    exchangeTallied(net, idA, idB, PingRequest{8}, tally);
   }
-  EXPECT_NEAR(static_cast<double>(ok) / kCalls, 0.7, 0.05);
-}
-
-TEST(NetworkFaultTest, FailedRpcChargesOnlyRequest) {
-  Simulator sim;
-  NetworkConfig cfg;
-  cfg.rpcFailProbability = 1.0;
-  Network net(sim, cfg, Rng(4));
-
-  CountingEndpoint a, b;
-  const NodeId idA = NodeId::fromIndex(1), idB = NodeId::fromIndex(2);
-  net.attach(idA, a);
-  net.attach(idB, b);
-  net.setUp(idA, true);
-  net.setUp(idB, true);
-
-  EXPECT_FALSE(net.call(idA, idB, CvFetchRequest{8, 100}).has_value());
-  EXPECT_EQ(net.traffic(idA).bytesSent, 8u);
-  EXPECT_EQ(net.traffic(idB).bytesSent, 0u);  // no response produced
+  sim.runUntil(kSecond);
+  EXPECT_EQ(tally.done, kCalls);
+  EXPECT_NEAR(static_cast<double>(tally.ok) / kCalls, 0.7, 0.05);
 }
 
 TEST(NetworkFaultTest, TimeoutChargingIsPerRequestType) {
@@ -143,21 +143,24 @@ TEST(NetworkFaultTest, TimeoutChargingIsPerRequestType) {
   net.setUp(idA, true);
   net.setUp(idB, true);
 
-  EXPECT_FALSE(net.call(idA, idB, PingRequest{8}).has_value());
-  EXPECT_FALSE(net.call(idA, idB, CvFetchRequest{8, 200}).has_value());
-  EXPECT_FALSE(net.call(idA, idB, SwapRequest{{idA}, 8, 4}).has_value());
-  EXPECT_FALSE(net.call(idA, idB, MonitorPingRequest{8}).has_value());
+  Tally tally;
+  exchangeTallied(net, idA, idB, PingRequest{8}, tally);
+  exchangeTallied(net, idA, idB, CvFetchRequest{8, 200}, tally);
+  exchangeTallied(net, idA, idB, SwapRequest{{idA}, 8, 4}, tally);
+  exchangeTallied(net, idA, idB, MonitorPingRequest{8}, tally);
+  sim.runUntil(kSecond);
+  EXPECT_EQ(tally.done, 4);
+  EXPECT_EQ(tally.ok, 0);
   // 8 (ping) + 8 (fetch ask) + 32 (4 swap entries) + 8 (monitor ping).
   EXPECT_EQ(net.traffic(idA).bytesSent, 56u);
   EXPECT_EQ(net.traffic(idA).messagesSent, 4u);
   EXPECT_EQ(net.traffic(idB).bytesSent, 0u);
 }
 
-TEST(NetworkFaultTest, RpcFailProbabilityAppliesToDeferredMode) {
+TEST(NetworkFaultTest, FailedRpcChargesOnlyRequest) {
   Simulator sim;
   NetworkConfig cfg;
   cfg.rpcFailProbability = 1.0;
-  cfg.deferredRpc = true;
   Network net(sim, cfg, Rng(9));
 
   CountingEndpoint a, b;
@@ -167,17 +170,19 @@ TEST(NetworkFaultTest, RpcFailProbabilityAppliesToDeferredMode) {
   net.setUp(idA, true);
   net.setUp(idB, true);
 
-  bool fired = false, gotResponse = true;
-  net.callAsync(idA, idB, PingRequest{8}, [&](auto r) {
-    fired = true;
+  std::optional<SimTime> completedAt;
+  bool gotResponse = true;
+  net.exchangeAsync(idA, idB, CvFetchRequest{8, 100}, [&](auto r) {
+    completedAt = sim.now();
     gotResponse = r.has_value();
   });
-  EXPECT_FALSE(fired);  // the failure surfaces only after the timeout
+  EXPECT_FALSE(completedAt);  // the failure surfaces only after the timeout
   sim.runUntil(kMinute);
-  EXPECT_TRUE(fired);
+  ASSERT_TRUE(completedAt.has_value());
+  EXPECT_EQ(*completedAt, cfg.rpcTimeout);
   EXPECT_FALSE(gotResponse);
   EXPECT_EQ(net.traffic(idA).bytesSent, 8u);
-  EXPECT_EQ(net.traffic(idB).bytesSent, 0u);
+  EXPECT_EQ(net.traffic(idB).bytesSent, 0u);  // no response produced
 }
 
 TEST(NetworkFaultTest, ZeroProbabilityIsFaultless) {
@@ -189,12 +194,15 @@ TEST(NetworkFaultTest, ZeroProbabilityIsFaultless) {
   net.attach(idB, b);
   net.setUp(idA, true);
   net.setUp(idB, true);
+  Tally tally;
   for (int i = 0; i < 500; ++i) {
     net.send(idA, idB, TextMessage{"m", 1});
-    EXPECT_TRUE(net.exchange(idA, idB, PingRequest{1}).has_value());
+    exchangeTallied(net, idA, idB, PingRequest{1}, tally);
   }
   sim.runUntil(kSecond);
   EXPECT_EQ(b.received, 500);
+  EXPECT_EQ(tally.done, 500);
+  EXPECT_EQ(tally.ok, 500);
 }
 
 // ---------------------------------------------------------------------------
@@ -228,7 +236,6 @@ struct TwoShardWorld {
 TEST(NetworkFaultTest, CrossShardDropProbabilityIsHonored) {
   NetworkConfig cfg;
   cfg.messageDropProbability = 0.5;
-  cfg.deferredRpc = true;
   TwoShardWorld w(cfg);
 
   constexpr int kSends = 2000;
@@ -254,7 +261,6 @@ TEST(NetworkFaultTest, CrossShardLatencySpikeStillDeliversInWindowOrder) {
   NetworkConfig cfg;
   cfg.minLatency = 10;
   cfg.maxLatency = 2000;
-  cfg.deferredRpc = true;
 
   ShardedSimulator::Config worldCfg;
   worldCfg.shards = 2;
@@ -311,7 +317,6 @@ TEST(NetworkFaultTest, ChurnExactlyOnWindowBoundaryDropsInFlightMessage) {
   NetworkConfig cfg;
   cfg.minLatency = 10;
   cfg.maxLatency = 10;
-  cfg.deferredRpc = true;
   TwoShardWorld w(cfg);
   const SimTime boundary = w.world->windowLength();  // 10 ms
 
@@ -343,18 +348,17 @@ TEST(NetworkFaultTest, ChurnAtBoundaryMidRpcSurfacesAsExactTimeout) {
   NetworkConfig cfg;
   cfg.minLatency = 10;
   cfg.maxLatency = 10;
-  cfg.deferredRpc = true;
   TwoShardWorld w(cfg);
 
   std::optional<SimTime> completedAt;
   bool gotResponse = true;
   w.world->simOf(1).at(10, [&] { w.world->netOf(1).setUp(w.idB, false); });
   w.world->simOf(0).at(0, [&] {
-    w.world->netOf(0).callAsync(w.idA, w.idB, PingRequest{8},
-                                [&](std::optional<RpcResponse> r) {
-                                  completedAt = w.world->simOf(0).now();
-                                  gotResponse = r.has_value();
-                                });
+    w.world->netOf(0).exchangeAsync(w.idA, w.idB, PingRequest{8},
+                                    [&](std::optional<PingResponse> r) {
+                                      completedAt = w.world->simOf(0).now();
+                                      gotResponse = r.has_value();
+                                    });
   });
   w.world->runUntil(kSecond);
 
@@ -368,24 +372,19 @@ TEST(NetworkFaultTest, ChurnAtBoundaryMidRpcSurfacesAsExactTimeout) {
 TEST(NetworkFaultTest, CrossShardRpcFailProbabilityIsHonored) {
   NetworkConfig cfg;
   cfg.rpcFailProbability = 0.3;
-  cfg.deferredRpc = true;
   TwoShardWorld w(cfg);
 
   constexpr int kCalls = 600;
-  int ok = 0, done = 0;
+  Tally tally;
   // Space the calls out so each completes well before the next deadline.
   for (int i = 0; i < kCalls; ++i) {
     w.world->simOf(0).at(i * kSecond, [&] {
-      w.world->netOf(0).callAsync(w.idA, w.idB, PingRequest{8},
-                                  [&](std::optional<RpcResponse> r) {
-                                    ++done;
-                                    if (r) ++ok;
-                                  });
+      exchangeTallied(w.world->netOf(0), w.idA, w.idB, PingRequest{8}, tally);
     });
   }
   w.world->runUntil(kCalls * kSecond + kSecond);
-  EXPECT_EQ(done, kCalls);
-  EXPECT_NEAR(static_cast<double>(ok) / kCalls, 0.7, 0.06);
+  EXPECT_EQ(tally.done, kCalls);
+  EXPECT_NEAR(static_cast<double>(tally.ok) / kCalls, 0.7, 0.06);
 }
 
 }  // namespace
@@ -395,8 +394,8 @@ TEST(NetworkFaultTest, CrossShardRpcFailProbabilityIsHonored) {
 // Scheduled fault plans (sim/fault_plan.hpp) at scenario level: timed
 // partitions, correlated bursts, and latency-regime windows + geo bands
 // must be DETERMINISTIC — bit-identical metrics at every shard count and
-// a pinned fingerprint per RPC lane, exactly like the unfaulted goldens
-// in scenario_metrics_test.
+// a pinned fingerprint, exactly like the unfaulted goldens in
+// scenario_metrics_test.
 // ---------------------------------------------------------------------------
 
 #include "golden_hash.hpp"
@@ -419,10 +418,8 @@ Scenario faultBase() {
 struct FaultGolden {
   const char* name;
   Scenario scenario;
-  std::uint64_t deferredSummary;
-  std::uint64_t deferredPerNode;
-  std::uint64_t instantSummary;
-  std::uint64_t instantPerNode;
+  std::uint64_t summary;
+  std::uint64_t perNode;
 };
 
 std::vector<FaultGolden> faultGoldens() {
@@ -442,38 +439,24 @@ std::vector<FaultGolden> faultGoldens() {
   latency.faults.geo.interMax = 150;
 
   return {
-      {"partition", partition, 0xd2cbe7810a2822cbULL, 0x2008125dcc567c76ULL,
-       0x21f008f6f1d74afbULL, 0xc0d398fd09e4db52ULL},
-      {"burst", burst, 0xa192b1754ee756adULL, 0xe9f8df8cd145201dULL,
-       0xcccff51e1d7eb01eULL, 0xb4f697e692d21539ULL},
-      {"latency", latency, 0xed7fa1fb97aca39cULL, 0x1f226a5d5a9dbeb5ULL,
-       0x11cdfd3202b21409ULL, 0x15b5ec75f2f4505dULL},
+      {"partition", partition, 0xd2cbe7810a2822cbULL, 0x2008125dcc567c76ULL},
+      {"burst", burst, 0xa192b1754ee756adULL, 0xe9f8df8cd145201dULL},
+      {"latency", latency, 0xed7fa1fb97aca39cULL, 0x1f226a5d5a9dbeb5ULL},
   };
 }
 
-TEST(FaultPlanGoldenTest, DeferredLaneIsPinnedAndShardInvariant) {
+TEST(FaultPlanGoldenTest, PinnedAndShardInvariant) {
   for (const FaultGolden& g : faultGoldens()) {
     for (const unsigned shards : {1u, 2u, 3u, 8u}) {
       Scenario s = g.scenario;
       s.shards = shards;
       ScenarioRunner runner(s);
       runner.run();
-      EXPECT_EQ(summaryHash(runner), g.deferredSummary)
+      EXPECT_EQ(summaryHash(runner), g.summary)
           << g.name << " S=" << shards;
-      EXPECT_EQ(perNodeHash(runner), g.deferredPerNode)
+      EXPECT_EQ(perNodeHash(runner), g.perNode)
           << g.name << " S=" << shards;
     }
-  }
-}
-
-TEST(FaultPlanGoldenTest, InstantRpcLaneIsPinned) {
-  for (const FaultGolden& g : faultGoldens()) {
-    Scenario s = g.scenario;
-    s.deferredRpc = false;
-    ScenarioRunner runner(s);
-    runner.run();
-    EXPECT_EQ(summaryHash(runner), g.instantSummary) << g.name;
-    EXPECT_EQ(perNodeHash(runner), g.instantPerNode) << g.name;
   }
 }
 
@@ -485,7 +468,7 @@ TEST(FaultPlanGoldenTest, FaultPlansActuallyPerturbTheRun) {
   baseline.run();
   const std::uint64_t cleanSummary = summaryHash(baseline);
   for (const FaultGolden& g : faultGoldens()) {
-    EXPECT_NE(g.deferredSummary, cleanSummary) << g.name;
+    EXPECT_NE(g.summary, cleanSummary) << g.name;
   }
 }
 

@@ -285,6 +285,22 @@ class NetworkTest : public ::testing::Test {
  protected:
   NetworkTest() : net_(sim_, NetworkConfig{}, Rng(5)) {}
 
+  // One exchange through the Transport seam, run past its deadline; the
+  // handler must have fired exactly once.
+  template <class Request>
+  std::optional<typename RpcTraits<Request>::Response> settle(
+      const NodeId& from, const NodeId& to, Request request) {
+    std::optional<typename RpcTraits<Request>::Response> result;
+    int fired = 0;
+    net_.exchangeAsync(from, to, std::move(request), [&](auto r) {
+      ++fired;
+      result = std::move(r);
+    });
+    sim_.runUntil(sim_.now() + kSecond);
+    EXPECT_EQ(fired, 1);
+    return result;
+  }
+
   Simulator sim_;
   Network net_;
   RecordingEndpoint a_, b_;
@@ -339,30 +355,19 @@ TEST_F(NetworkTest, RpcReachesUpNode) {
   net_.attach(idB_, b_);
   net_.setUp(idA_, true);
   net_.setUp(idB_, true);
-  const auto response = net_.call(idA_, idB_, CvFetchRequest{8, 16});
-  ASSERT_TRUE(response.has_value());
-  EXPECT_TRUE(std::holds_alternative<CvFetchResponse>(*response));
+  ASSERT_TRUE(settle(idA_, idB_, CvFetchRequest{8, 16}).has_value());
   EXPECT_EQ(net_.traffic(idA_).bytesSent, 8u);
   EXPECT_EQ(net_.traffic(idB_).bytesSent, 16u);  // response charged to target
-}
-
-TEST_F(NetworkTest, RpcTimesOutOnDownNode) {
-  net_.attach(idA_, a_);
-  net_.attach(idB_, b_);
-  net_.setUp(idA_, true);
-  EXPECT_FALSE(net_.call(idA_, idB_, CvFetchRequest{8, 16}).has_value());
-  EXPECT_EQ(net_.traffic(idA_).bytesSent, 8u);  // request wasted
-  EXPECT_EQ(net_.traffic(idB_).bytesSent, 0u);
 }
 
 TEST_F(NetworkTest, RpcTimesOutOnDetachedNode) {
   net_.attach(idA_, a_);
   net_.setUp(idA_, true);
-  EXPECT_FALSE(net_.call(idA_, idB_, CvFetchRequest{8, 16}).has_value());
+  EXPECT_FALSE(settle(idA_, idB_, CvFetchRequest{8, 16}).has_value());
 }
 
 TEST_F(NetworkTest, ExchangeReturnsConcreteResponseType) {
-  // An endpoint that actually serves CV fetches; exchange() hands the
+  // An endpoint that actually serves CV fetches; exchangeAsync hands the
   // caller the typed response, no variant handling at the call site.
   class ViewServer final : public Endpoint {
    public:
@@ -379,17 +384,17 @@ TEST_F(NetworkTest, ExchangeReturnsConcreteResponseType) {
   net_.setUp(idA_, true);
   net_.setUp(idB_, true);
 
-  const auto fetch = net_.exchange(idA_, idB_, CvFetchRequest{8, 16});
+  const auto fetch = settle(idA_, idB_, CvFetchRequest{8, 16});
   ASSERT_TRUE(fetch.has_value());
   ASSERT_EQ(fetch->view.size(), 2u);
   EXPECT_EQ(fetch->view[0], NodeId::fromIndex(7));
 
   // The default Endpoint::onRpc acks with an *empty* response of the
-  // matching type, so exchange() stays total against plain endpoints.
-  const auto probe = net_.exchange(idB_, idA_, CvFetchRequest{8, 16});
+  // matching type, so exchangeAsync stays total against plain endpoints.
+  const auto probe = settle(idB_, idA_, CvFetchRequest{8, 16});
   ASSERT_TRUE(probe.has_value());
   EXPECT_TRUE(probe->view.empty());
-  EXPECT_TRUE(net_.exchange(idB_, idA_, PingRequest{8}).has_value());
+  EXPECT_TRUE(settle(idB_, idA_, PingRequest{8}).has_value());
 }
 
 TEST_F(NetworkTest, MessageWireSizeLivesWithTheType) {
@@ -427,29 +432,10 @@ TEST_F(NetworkTest, TrafficCountersSurviveDetachAndReattach) {
   EXPECT_EQ(reborn.messages[0], "back");
 }
 
-TEST_F(NetworkTest, CallAsyncInstantaneousModeMatchesCall) {
-  net_.attach(idA_, a_);
-  net_.attach(idB_, b_);
-  net_.setUp(idA_, true);
-  net_.setUp(idB_, true);
-  std::optional<RpcResponse> result;
-  bool fired = false;
-  net_.callAsync(idA_, idB_, PingRequest{8}, [&](auto r) {
-    fired = true;
-    result = std::move(r);
-  });
-  // With deferredRpc off the handler runs before callAsync returns.
-  EXPECT_TRUE(fired);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(net_.traffic(idA_).bytesSent, 8u);
-  EXPECT_EQ(net_.traffic(idB_).bytesSent, 8u);
-}
-
-TEST_F(NetworkTest, DeferredRpcDeliversAfterBothLegs) {
+TEST_F(NetworkTest, RpcDeliversAfterBothLegs) {
   NetworkConfig cfg;
   cfg.minLatency = 10;
   cfg.maxLatency = 20;
-  cfg.deferredRpc = true;
   Network net(sim_, cfg, Rng(11));
   net.attach(idA_, a_);
   net.attach(idB_, b_);
@@ -458,7 +444,7 @@ TEST_F(NetworkTest, DeferredRpcDeliversAfterBothLegs) {
 
   SimTime completedAt = -1;
   bool gotResponse = false;
-  net.callAsync(idA_, idB_, PingRequest{8}, [&](auto r) {
+  net.exchangeAsync(idA_, idB_, PingRequest{8}, [&](auto r) {
     gotResponse = r.has_value();
     completedAt = sim_.now();
   });
@@ -472,14 +458,13 @@ TEST_F(NetworkTest, DeferredRpcDeliversAfterBothLegs) {
   EXPECT_EQ(net.traffic(idB_).bytesSent, 8u);
 }
 
-TEST_F(NetworkTest, DeferredRpcLateResponseBecomesTimeout) {
+TEST_F(NetworkTest, RpcLateResponseBecomesTimeout) {
   // A round trip that outlives rpcTimeout is a timeout to the caller even
   // though the target served it (and spent its response bytes).
   NetworkConfig cfg;
   cfg.minLatency = 150;
   cfg.maxLatency = 150;
   cfg.rpcTimeout = 200;
-  cfg.deferredRpc = true;
   Network net(sim_, cfg, Rng(13));
   net.attach(idA_, a_);
   net.attach(idB_, b_);
@@ -488,7 +473,7 @@ TEST_F(NetworkTest, DeferredRpcLateResponseBecomesTimeout) {
 
   SimTime completedAt = -1;
   bool gotResponse = true;
-  net.callAsync(idA_, idB_, PingRequest{8}, [&](auto r) {
+  net.exchangeAsync(idA_, idB_, PingRequest{8}, [&](auto r) {
     gotResponse = r.has_value();
     completedAt = sim_.now();
   });
@@ -498,17 +483,14 @@ TEST_F(NetworkTest, DeferredRpcLateResponseBecomesTimeout) {
   EXPECT_EQ(net.traffic(idB_).bytesSent, 8u);  // response leg was produced
 }
 
-TEST_F(NetworkTest, DeferredRpcTimesOutOnDownTarget) {
-  NetworkConfig cfg;
-  cfg.deferredRpc = true;
-  Network net(sim_, cfg, Rng(12));
-  net.attach(idA_, a_);
-  net.attach(idB_, b_);
-  net.setUp(idA_, true);  // B stays down
+TEST_F(NetworkTest, RpcTimesOutOnDownNode) {
+  net_.attach(idA_, a_);
+  net_.attach(idB_, b_);
+  net_.setUp(idA_, true);  // B stays down
 
   SimTime completedAt = -1;
   bool gotResponse = true;
-  net.callAsync(idA_, idB_, CvFetchRequest{8, 16}, [&](auto r) {
+  net_.exchangeAsync(idA_, idB_, CvFetchRequest{8, 16}, [&](auto r) {
     gotResponse = r.has_value();
     completedAt = sim_.now();
   });
@@ -517,9 +499,9 @@ TEST_F(NetworkTest, DeferredRpcTimesOutOnDownTarget) {
   // The caller waits out the timeout (measured from when the request
   // left, not from when its loss was discovered); only the request leg
   // is charged.
-  EXPECT_EQ(completedAt, cfg.rpcTimeout);
-  EXPECT_EQ(net.traffic(idA_).bytesSent, 8u);
-  EXPECT_EQ(net.traffic(idB_).bytesSent, 0u);
+  EXPECT_EQ(completedAt, NetworkConfig{}.rpcTimeout);
+  EXPECT_EQ(net_.traffic(idA_).bytesSent, 8u);
+  EXPECT_EQ(net_.traffic(idB_).bytesSent, 0u);
 }
 
 TEST_F(NetworkTest, DetachDropsFutureDelivery) {
