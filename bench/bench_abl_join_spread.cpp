@@ -103,10 +103,11 @@ int main() {
                    "analytic E[dup]", "spread ms", "log2(cvs) hops"});
 
   for (std::size_t cvs : {8u, 16u, 24u, 32u}) {
-    // Average three seeds to smooth the duplicate count.
+    // Average twenty seeds: a single join's counts move by several
+    // messages with any change to the warm-up's RNG path.
     std::uint64_t msgs = 0, adds = 0, dups = 0;
     SimTime spread = 0;
-    constexpr int kRuns = 3;
+    constexpr int kRuns = 20;
     for (int s = 0; s < kRuns; ++s) {
       const SpreadResult r = measure(kN, cvs, 100 + static_cast<std::uint64_t>(s));
       msgs += r.joinMessages;
@@ -114,9 +115,12 @@ int main() {
       dups += r.duplicates;
       spread = std::max(spread, r.spreadMs);
     }
+    const auto mean = [](std::uint64_t total) {
+      return avmon::stats::TablePrinter::num(
+          static_cast<double>(total) / kRuns, 1);
+    };
     table.addRow(
-        {std::to_string(cvs), std::to_string(msgs / kRuns),
-         std::to_string(adds / kRuns), std::to_string(dups / kRuns),
+        {std::to_string(cvs), mean(msgs), mean(adds), mean(dups),
          avmon::stats::TablePrinter::num(
              avmon::analysis::expectedDuplicateJoins(cvs, kN), 2),
          std::to_string(spread),

@@ -516,10 +516,11 @@ struct Row {
 
 // ---------------------------------------------------------------------------
 // Workload 8 (--million): the ROADMAP million-node scenario — N = 10^6
-// through the memory diet (SoA node state, compact histories, streamed
+// through the memory diet (shared node config, compact histories, streamed
 // metrics, sharded execution). Mirrors examples/specs/million_node.spec
-// exactly; the smoke-scale twin of that spec is pinned by soa_state_test,
-// and this run reports the full-scale golden fingerprint in its row note.
+// exactly; the smoke-scale twin of that spec is pinned by
+// scenario_metrics_test, and this run reports the full-scale golden
+// fingerprint in its row note.
 // ---------------------------------------------------------------------------
 struct MillionRun {
   double seconds = 0.0;

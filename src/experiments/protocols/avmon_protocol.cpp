@@ -18,7 +18,6 @@ void AvmonProtocol::build(const ProtocolContext& ctx) {
   // that shard's memo. Every node shares one immutable config — a copy
   // per node is ~150 B nobody reads twice.
   const auto sharedConfig = std::make_shared<const AvmonConfig>(ctx.config);
-  state_.resize(ctx.trace.nodes().size());
   std::uint32_t index = 0;
   for (const trace::NodeTrace& nt : ctx.trace.nodes()) {
     const std::size_t shard = ctx.world.shardOfIndex(index);
@@ -28,7 +27,6 @@ void AvmonProtocol::build(const ProtocolContext& ctx) {
     auto node = std::make_unique<AvmonNode>(
         nt.id, sharedConfig, *ctx.memoSelectors[shard], ctx.world.simOf(shard),
         ctx.world.netOf(shard), bootstrap, ctx.rootRng.fork());
-    node->bindStateSlot(&state_, index);
     nodes_.emplace(nt.id, std::move(node));
     ++index;
   }
@@ -156,34 +154,23 @@ void AvmonProtocol::forEachNode(
 
 std::optional<SimDuration> AvmonProtocol::discoveryDelay(
     const NodeId& id, std::size_t k) const {
-  if (k == 1) {
-    // Fast path off the struct-of-arrays row — the k = 1 delay is probed
-    // per measured node per window barrier in the streamed lane.
-    const std::uint32_t slot = slotOf(id);
-    const SimTime joined = state_.firstJoin[slot];
-    const SimTime found = state_.firstDiscovery[slot];
-    if (joined < 0 || found < 0) return std::nullopt;
-    return found - joined;
-  }
   return nodes_.at(id)->discoveryDelay(k);
 }
 
 std::size_t AvmonProtocol::memoryEntries(const NodeId& id) const {
-  const std::uint32_t slot = slotOf(id);
-  return static_cast<std::size_t>(state_.cvSize[slot]) + state_.psSize[slot] +
-         state_.tsSize[slot];
+  return nodes_.at(id)->memoryEntries();
 }
 
 std::uint64_t AvmonProtocol::hashChecks(const NodeId& id) const {
-  return state_.hashChecks[slotOf(id)];
+  return nodes_.at(id)->metrics().hashChecks;
 }
 
 std::uint64_t AvmonProtocol::uselessPings(const NodeId& id) const {
-  return state_.uselessPings[slotOf(id)];
+  return nodes_.at(id)->metrics().uselessPings;
 }
 
 bool AvmonProtocol::isMonitoring(const NodeId& id) const {
-  return state_.tsSize[slotOf(id)] != 0;
+  return !nodes_.at(id)->targetSet().empty();
 }
 
 std::vector<NodeId> AvmonProtocol::monitorsOf(const NodeId& id) const {

@@ -5,6 +5,7 @@
 
 #include "experiments/parallel_runner.hpp"
 #include "experiments/scenario.hpp"
+#include "experiments/spec.hpp"
 #include "golden_hash.hpp"
 
 namespace avmon::experiments {
@@ -171,6 +172,32 @@ TEST(ScenarioMetricsTest, StreamingObservationKeepsGoldenHashes) {
   runner.run();
   EXPECT_EQ(summaryHash(runner), 0x2653aa83f642c8d3ULL);
   EXPECT_EQ(perNodeHash(runner), 0x674ecc991fa11d54ULL);
+}
+
+// The million-node scenario family, golden-pinned at CI scale. This is
+// examples/specs/million_node_smoke.spec built in code — STAT, compact
+// histories, cvs/k override, sharded, streaming-only metrics — which
+// differs from the full million_node.spec ONLY in n. The full-scale
+// fingerprint (0xe68f9db28835e840 at N = 10^6) is reported by
+// `bench_sim_core --million` and recorded in BENCH_simcore.json; this
+// pin catches any drift in the machinery both specs share.
+TEST(ScenarioMetricsTest, MillionNodeSmokeFingerprintPinned) {
+  Scenario s;
+  s.model = churn::Model::kStat;
+  s.stableSize = 20000;
+  s.horizon = 3 * kMinute;
+  s.warmup = 1 * kMinute;
+  s.seed = 1000003;
+  s.hashName = "splitmix64";
+  s.configOverride = cvsKOverride(s.model, s.stableSize, /*cvs=*/4, /*k=*/1);
+  s.shards = 4;
+  s.history = "compact";
+  s.metrics.window = kMinute;
+  s.metrics.reducers = {"summary"};
+  ScenarioRunner runner(s);
+  runner.run();
+  EXPECT_EQ(summaryHash(runner), 0xae92f15b08ba8fbaULL);
+  EXPECT_EQ(perNodeHash(runner), 0x524362948a712bd5ULL);
 }
 
 }  // namespace

@@ -354,6 +354,23 @@ TEST(StreamingLaneTest, StreamedSummariesMatchMaterializedAcrossShards) {
       }
     }
 
+    // (b') the window-barrier probes are exact mid-run: the per-window
+    // first-monitor discoveries, read off the live protocol state at each
+    // barrier, add up to the materialized end-of-run count.
+    for (std::size_t i = 0; i < 4; ++i) {
+      double discoveries = 0;
+      const auto& rows = runners[base + i]->streamingCollector()->windows();
+      for (const WindowRow& row : rows) {
+        for (const auto& [name, value] : row.columns) {
+          if (name == "discoveries") discoveries += value;
+        }
+      }
+      EXPECT_GT(discoveries, 0.0) << p.name << " S=" << shardCounts[i];
+      EXPECT_EQ(discoveries,
+                static_cast<double>(control.discoveryDelaysSeconds(1).size()))
+          << p.name << " S=" << shardCounts[i];
+    }
+
     // (c) exact agreement with the materialized sample vectors.
     const auto expectMatches = [&](const StreamedMetric& m,
                                    std::vector<double> samples) {
